@@ -30,13 +30,23 @@ An optional analytic TCP cap (the csa00 / Mathis et al. square-root
 model, ``rate <= MSS / (RTT * sqrt(2p/3))``) bounds each flow's rate by
 what a loss rate ``p`` lets a TCP connection sustain over the route's
 round-trip time.
+
+Each event costs work in its active flows and their links only: the
+solver keeps per-link counts of active flows as flows arrive and
+finish, and reuses a link's residual capacity for as long as its
+:meth:`ReservationLedger.window` holds.  It still performs the same
+floating-point operations in the same order as a loop that rescans
+everything at every event (``tests/flows_reference.py``), so payloads
+stay byte-identical; see ``docs/network.md``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.errors import SimulationError
 from repro.simulate.network import TransferOutcome
@@ -47,8 +57,16 @@ from repro.simulate.network import TransferOutcome
 _REL_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Flow:
+class _FlowFields(NamedTuple):
+    route: tuple[int, ...]
+    bits: float
+    not_before: float
+    latency_s: float
+    rate_cap_bps: float
+    tag: str
+
+
+class Flow(_FlowFields):
     """One transfer request routed over the topology graph.
 
     ``route`` is a tuple of link indices; an empty route is a loop-back
@@ -57,26 +75,32 @@ class Flow:
     the transmission finish.
     """
 
-    route: tuple[int, ...]
-    bits: float
-    not_before: float = 0.0
-    latency_s: float = 0.0
-    rate_cap_bps: float = math.inf
-    tag: str = ""
+    # A validated tuple: one Flow is built per transfer on the solver's
+    # hot path, where a frozen dataclass's field-by-field __init__ cost
+    # about four times as much.
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.bits < 0:
-            raise SimulationError(f"bits must be non-negative, got {self.bits}")
-        if self.not_before < 0:
-            raise SimulationError(f"not_before must be non-negative, got {self.not_before}")
-        if self.latency_s < 0:
-            raise SimulationError(f"latency_s must be non-negative, got {self.latency_s}")
-        if not self.rate_cap_bps > 0:
-            raise SimulationError(f"rate_cap_bps must be positive, got {self.rate_cap_bps}")
+    def __new__(
+        cls,
+        route: tuple[int, ...],
+        bits: float,
+        not_before: float = 0.0,
+        latency_s: float = 0.0,
+        rate_cap_bps: float = math.inf,
+        tag: str = "",
+    ) -> Flow:
+        if bits < 0:
+            raise SimulationError(f"bits must be non-negative, got {bits}")
+        if not_before < 0:
+            raise SimulationError(f"not_before must be non-negative, got {not_before}")
+        if latency_s < 0:
+            raise SimulationError(f"latency_s must be non-negative, got {latency_s}")
+        if not rate_cap_bps > 0:
+            raise SimulationError(f"rate_cap_bps must be positive, got {rate_cap_bps}")
+        return super().__new__(cls, route, bits, not_before, latency_s, rate_cap_bps, tag)
 
 
-@dataclass(frozen=True)
-class RateSegment:
+class RateSegment(NamedTuple):
     """A constant-rate stretch of a flow's transmission."""
 
     start: float
@@ -84,8 +108,7 @@ class RateSegment:
     rate_bps: float
 
 
-@dataclass(frozen=True)
-class FlowAllocation:
+class FlowAllocation(NamedTuple):
     """What the solver assigned to one flow."""
 
     flow: Flow
@@ -115,23 +138,43 @@ class ReservationLedger:
             return
         self._segments.setdefault(link, []).append(segment)
 
-    def reserved_at(self, link: int, time: float) -> float:
-        """Total reserved rate on ``link`` at ``time`` (bit/s)."""
-        return sum(
-            segment.rate_bps
-            for segment in self._segments.get(link, ())
-            if segment.start <= time < segment.end
-        )
+    def commit(self, allocation: FlowAllocation) -> None:
+        """Reserve a solved allocation's rate profile on every link of its route.
 
-    def next_change_after(self, links: Sequence[int], time: float) -> float | None:
-        """Earliest reservation boundary strictly after ``time``."""
-        best: float | None = None
-        for link in links:
-            for segment in self._segments.get(link, ()):
-                for bound in (segment.start, segment.end):
-                    if bound > time and (best is None or bound < best):
-                        best = bound
-        return best
+        Solver segments always have positive length and rate (the ones
+        :meth:`reserve` would drop), so each link's list grows with one
+        ``extend`` in the order per-segment ``reserve`` calls would give
+        it: insertion order is what :meth:`window` sums in.
+        """
+        if allocation.segments:
+            for link in allocation.flow.route:
+                self._segments.setdefault(link, []).extend(allocation.segments)
+
+    def window(self, link: int, time: float) -> tuple[float, float, float]:
+        """``(reserved, since, until)`` for ``link`` at ``time``.
+
+        ``reserved`` is the total rate of the segments covering ``time``,
+        summed in insertion order; the same segments — hence the same
+        sum, bit for bit — cover every instant of ``[since, until)``.
+        ``until`` is the first reservation boundary after ``time``
+        (``inf`` if there is none).
+        """
+        reserved = 0.0
+        since = -math.inf
+        until = math.inf
+        for start, end, rate in self._segments.get(link, ()):
+            if start > time:
+                if start < until:
+                    until = start
+            elif time < end:
+                reserved += rate
+                if start > since:
+                    since = start
+                if end < until:
+                    until = end
+            elif end > since:
+                since = end
+        return reserved, since, until
 
     def prune(self, time: float) -> None:
         """Drop segments that end at or before ``time`` (past barriers)."""
@@ -141,6 +184,66 @@ class ReservationLedger:
                 self._segments[link] = kept
             else:
                 del self._segments[link]
+
+
+def _water_fill(
+    unfrozen: list[int],
+    routes,
+    caps,
+    capacity: dict[int, float],
+    crossing: dict[int, int],
+    rates,
+) -> None:
+    """Progressive filling: write the max-min rate of every flow in ``unfrozen``.
+
+    ``unfrozen`` lists flow ids in ascending order, ``routes[f]`` and
+    ``caps[f]`` give a flow's links and rate cap, ``capacity`` maps every
+    link of those routes to its residual (>= 0) and ``crossing`` to the
+    number of ``unfrozen`` flows that cross it.  Neither dict is
+    modified.  Frozen flows debit their links in flow-id order, so every
+    residual sees the same float operations in the same order on every
+    call.
+    """
+    owned = False
+    while unfrozen:
+        shares = {link: capacity[link] / flows for link, flows in crossing.items()}
+        share = min(shares.values(), default=math.inf)
+        cap_floor = min([caps[flow] for flow in unfrozen])
+        rate = share if share <= cap_floor else cap_floor
+        if not math.isfinite(rate):
+            # Only cap-free, link-free flows remain: unbounded rate.
+            for flow in unfrozen:
+                rates[flow] = math.inf
+            return
+        threshold = rate * (1.0 + _REL_EPS)
+        bottlenecks = {link for link, value in shares.items() if value <= threshold}
+        frozen = [
+            flow
+            for flow in unfrozen
+            if caps[flow] <= threshold or not bottlenecks.isdisjoint(routes[flow])
+        ]
+        if not frozen or len(frozen) == len(unfrozen):
+            # Last level (or, on float noise, a level that freezes
+            # nothing): every flow left gets the level's rate.
+            for flow in unfrozen:
+                cap = caps[flow]
+                rates[flow] = cap if cap < rate else rate
+            return
+        if not owned:
+            capacity, crossing, owned = dict(capacity), dict(crossing), True
+        for flow in frozen:
+            cap = caps[flow]
+            flow_rate = rates[flow] = cap if cap < rate else rate
+            for link in routes[flow]:
+                left = capacity[link] - flow_rate
+                capacity[link] = left if left > 0.0 else 0.0
+                flows = crossing[link] - 1
+                if flows:
+                    crossing[link] = flows
+                else:
+                    del crossing[link]
+        frozen_set = set(frozen)
+        unfrozen = [flow for flow in unfrozen if flow not in frozen_set]
 
 
 def max_min_rates(
@@ -156,40 +259,13 @@ def max_min_rates(
     exceeds its cap, and no flow's rate can grow without shrinking an
     equal-or-slower flow (the max-min property).
     """
+    crossing: dict[int, int] = {}
+    for route in routes.values():
+        for link in route:
+            crossing[link] = crossing.get(link, 0) + 1
+    capacity = {link: max(0.0, residual.get(link, 0.0)) for link in crossing}
     rates: dict[int, float] = {}
-    capacity = {link: max(0.0, residual.get(link, 0.0)) for link in set().union(*routes.values(), set())}
-    unfrozen = sorted(routes)
-    while unfrozen:
-        counts: dict[int, int] = {}
-        for flow in unfrozen:
-            for link in routes[flow]:
-                counts[link] = counts.get(link, 0) + 1
-        share = min(
-            (capacity[link] / counts[link] for link in sorted(counts)), default=math.inf
-        )
-        cap_floor = min(caps[flow] for flow in unfrozen)
-        rate = min(share, cap_floor)
-        if not math.isfinite(rate):
-            # Only cap-free, link-free flows remain: unbounded rate.
-            for flow in unfrozen:
-                rates[flow] = math.inf
-            break
-        threshold = rate * (1.0 + _REL_EPS)
-        bottlenecks = {
-            link for link in counts if capacity[link] / counts[link] <= threshold
-        }
-        frozen = [
-            flow
-            for flow in unfrozen
-            if caps[flow] <= threshold or any(link in bottlenecks for link in routes[flow])
-        ]
-        if not frozen:  # pragma: no cover - float-noise safety valve
-            frozen = list(unfrozen)
-        for flow in frozen:
-            rates[flow] = min(rate, caps[flow])
-            for link in routes[flow]:
-                capacity[link] = max(0.0, capacity[link] - rates[flow])
-        unfrozen = [flow for flow in unfrozen if flow not in set(frozen)]
+    _water_fill(sorted(routes), routes, caps, capacity, crossing, rates)
     return rates
 
 
@@ -207,94 +283,118 @@ def solve_flows(
     event.  Results are returned in request order.  The ledger is *not*
     modified — committing the returned allocations is the caller's
     choice (see :class:`FlowNetwork <repro.net.flows>`-style wrappers).
+
+    Each event costs work in the active flows and their links only: an
+    arrival cursor admits flows, per-link counts of active flows are
+    kept as flows come and go, and each link's residual is reused for
+    as long as its :meth:`ReservationLedger.window` holds.
     """
     count = len(flows)
     allocations: list[FlowAllocation | None] = [None] * count
     remaining = [flow.bits for flow in flows]
+    done_below = [flow.bits * _REL_EPS for flow in flows]
+    routes = [flow.route for flow in flows]
+    caps = [flow.rate_cap_bps for flow in flows]
     segments: list[list[RateSegment]] = [[] for _ in range(count)]
     started: list[float | None] = [None] * count
-    pending = set(range(count))
+    rates = [0.0] * count
 
     # Zero-bit flows deliver instantly: no transmission, no reservation.
+    arrivals: list[int] = []
     for index, flow in enumerate(flows):
         if flow.bits == 0:
             allocations[index] = FlowAllocation(
-                flow=flow,
-                start=flow.not_before,
-                end=flow.not_before + flow.latency_s,
-                segments=(),
+                flow, flow.not_before, flow.not_before + flow.latency_s, ()
             )
-            pending.discard(index)
+        else:
+            arrivals.append(index)
+    arrivals.sort(key=lambda index: flows[index].not_before)
+    releases = [flows[index].not_before for index in arrivals]
 
-    if pending:
-        time = min(flows[index].not_before for index in pending)
-    while pending:
-        active = [index for index in pending if flows[index].not_before <= time]
-        future = [index for index in pending if flows[index].not_before > time]
-        next_arrival = min((flows[index].not_before for index in future), default=None)
+    active: list[int] = []  # ascending flow ids
+    crossing: dict[int, int] = {}  # link -> active flows crossing it
+    residual: dict[int, float] = {}  # link -> max(0, capacity - reserved)
+    valid_until: dict[int, float] = {}  # link -> end of its residual's window
+    cursor = 0
+    time = releases[0] if releases else 0.0
+    while cursor < len(arrivals) or active:
+        while cursor < len(arrivals) and releases[cursor] <= time:
+            index = arrivals[cursor]
+            cursor += 1
+            insort(active, index)
+            for link in routes[index]:
+                crossing[link] = crossing.get(link, 0) + 1
+        next_arrival = releases[cursor] if cursor < len(arrivals) else math.inf
         if not active:
-            time = next_arrival  # type: ignore[assignment]  # future is non-empty here
+            time = next_arrival
             continue
-        links = sorted({link for index in active for link in flows[index].route})
-        residual = {
-            link: capacity[link] - (ledger.reserved_at(link, time) if ledger else 0.0)
-            for link in links
-        }
-        rates = max_min_rates(
-            {index: flows[index].route for index in active},
-            {index: flows[index].rate_cap_bps for index in active},
-            residual,
-        )
-        candidates: list[float] = []
-        if next_arrival is not None:
-            candidates.append(next_arrival)
-        if ledger is not None:
-            change = ledger.next_change_after(links, time)
-            if change is not None:
-                candidates.append(change)
-        finishing: list[tuple[float, int]] = []
+
+        change = math.inf
+        for link in crossing:
+            until = valid_until.get(link, -math.inf)
+            if until <= time:
+                if ledger is None:
+                    reserved, until = 0.0, math.inf
+                else:
+                    reserved, _since, until = ledger.window(link, time)
+                left = capacity[link] - reserved
+                residual[link] = left if left > 0.0 else 0.0
+                valid_until[link] = until
+            if until < change:
+                change = until
+        _water_fill(active, routes, caps, residual, crossing, rates)
+
+        next_time = next_arrival if next_arrival < change else change
+        moving: list[tuple[int, float, float]] = []  # (flow, rate, finish)
         for index in active:
             rate = rates[index]
             if rate > 0:
-                finish = time if math.isinf(rate) else time + remaining[index] / rate
-                finishing.append((finish, index))
-                candidates.append(finish)
-        if not candidates:
+                finish = time if rate == math.inf else time + remaining[index] / rate
+                if finish < next_time:
+                    next_time = finish
+                moving.append((index, rate, finish))
+        if not moving and next_time == math.inf:
             raise SimulationError(
                 "flow solver stalled: active flows have zero rate and no"
                 " future capacity change or arrival"
             )
-        next_time = min(candidates)
-        for index in active:
-            rate = rates[index]
-            if rate <= 0:
-                continue
+
+        span = next_time - time
+        shared: dict[float, RateSegment] = {}  # rate -> this event's segment
+        finished = False
+        for index, rate, finish in moving:
             if started[index] is None:
                 started[index] = time
-            if math.isinf(rate) or time + remaining[index] / rate <= time:
+            if finish <= time:
                 # Infinite rate, or a residual transmission smaller than
                 # one float ulp of the clock: neither can advance
                 # ``time``, so deliver now (guarantees loop progress).
-                remaining[index] = 0.0
+                left = 0.0
             else:
                 if next_time > time:
-                    segments[index].append(RateSegment(time, next_time, rate))
-                remaining[index] -= rate * (next_time - time)
-            if remaining[index] <= flows[index].bits * _REL_EPS:
-                remaining[index] = 0.0
+                    segment = shared.get(rate)
+                    if segment is None:
+                        segment = shared[rate] = RateSegment(time, next_time, rate)
+                    segments[index].append(segment)
+                left = remaining[index] - rate * span
+            remaining[index] = left
+            if left <= done_below[index]:
                 flow = flows[index]
-                start = started[index]
-                assert start is not None
                 allocations[index] = FlowAllocation(
-                    flow=flow,
-                    start=start,
-                    end=next_time + flow.latency_s,
-                    segments=tuple(segments[index]),
+                    flow, started[index], next_time + flow.latency_s, tuple(segments[index])
                 )
-                pending.discard(index)
+                finished = True
+                for link in routes[index]:
+                    flows_left = crossing[link] - 1
+                    if flows_left:
+                        crossing[link] = flows_left
+                    else:
+                        del crossing[link]
+        if finished:
+            active = [index for index in active if allocations[index] is None]
         time = next_time
 
-    return [allocation for allocation in allocations if allocation is not None]
+    return allocations  # type: ignore[return-value]  # every flow delivered
 
 
 def tcp_throughput_cap_bps(
@@ -327,8 +427,7 @@ class TcpThroughputModel:
         return tcp_throughput_cap_bps(rtt_s, self.loss_rate, self.mss_bytes)
 
 
-@dataclass(frozen=True)
-class FlowRequest:
+class FlowRequest(NamedTuple):
     """One host-to-host transfer the BSP engine asks the network for."""
 
     source: int
@@ -353,6 +452,8 @@ class FlowNetwork:
         self.tcp = tcp
         self.ledger = ReservationLedger()
         self._capacity = topology.capacities
+        # (source, destination) -> (route, route latency, TCP rate cap).
+        self._paths: dict[tuple[int, int], tuple[tuple[int, ...], float, float]] = {}
         # Telemetry tallies, read by the network backend after a run.
         self.batches_solved = 0
         self.flows_solved = 0
@@ -365,46 +466,37 @@ class FlowNetwork:
         """Drop reservations that ended at or before ``time``."""
         self.ledger.prune(time)
 
+    def _path(self, source: int, destination: int) -> tuple[tuple[int, ...], float, float]:
+        key = (source, destination)
+        path = self._paths.get(key)
+        if path is None:
+            route = self.topology.route(source, destination)
+            latency = self.topology.route_latency(source, destination)
+            cap = math.inf if self.tcp is None else self.tcp.cap_bps(2.0 * latency)
+            path = self._paths[key] = (route, latency, cap)
+        return path
+
     def batch(self, requests: Sequence[FlowRequest]) -> list[TransferOutcome]:
         """Solve one round of concurrent transfers; returns outcomes in order."""
-        outcomes: list[TransferOutcome | None] = [None] * len(requests)
+        outcomes: list[TransferOutcome] = [None] * len(requests)  # type: ignore[list-item]
         flows: list[Flow] = []
         flow_slots: list[int] = []
-        for slot, request in enumerate(requests):
-            if request.bits < 0:
-                raise SimulationError(f"bits must be non-negative, got {request.bits}")
-            if request.not_before < 0:
-                raise SimulationError(
-                    f"not_before must be non-negative, got {request.not_before}"
-                )
-            if request.source == request.destination:
-                outcomes[slot] = TransferOutcome(
-                    start=request.not_before, end=request.not_before
-                )
+        for slot, (source, destination, bits, not_before, tag) in enumerate(requests):
+            if bits < 0:
+                raise SimulationError(f"bits must be non-negative, got {bits}")
+            if not_before < 0:
+                raise SimulationError(f"not_before must be non-negative, got {not_before}")
+            if source == destination:
+                outcomes[slot] = TransferOutcome(start=not_before, end=not_before)
                 continue
-            route = self.topology.route(request.source, request.destination)
-            latency = self.topology.route_latency(request.source, request.destination)
-            cap = math.inf
-            if self.tcp is not None:
-                cap = self.tcp.cap_bps(2.0 * latency)
-            flows.append(
-                Flow(
-                    route=route,
-                    bits=request.bits,
-                    not_before=request.not_before,
-                    latency_s=latency,
-                    rate_cap_bps=cap,
-                    tag=request.tag,
-                )
-            )
+            route, latency, cap = self._path(source, destination)
+            flows.append(Flow(route, bits, not_before, latency, cap, tag))
             flow_slots.append(slot)
         self.batches_solved += 1
         self.flows_solved += len(flows)
         if flows:
             allocations = solve_flows(flows, self._capacity, self.ledger)
             for allocation, slot in zip(allocations, flow_slots):
-                for link in allocation.flow.route:
-                    for segment in allocation.segments:
-                        self.ledger.reserve(link, segment)
-                outcomes[slot] = allocation.outcome
-        return [outcome for outcome in outcomes if outcome is not None]
+                self.ledger.commit(allocation)
+                outcomes[slot] = TransferOutcome(allocation.start, allocation.end)
+        return outcomes

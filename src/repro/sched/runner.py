@@ -43,8 +43,20 @@ _QUEUE_WAIT = _REG.histogram(
     "repro_sched_queue_wait_seconds", "Task wait between ready and started"
 )
 _RUN_SECONDS = _REG.histogram(
-    "repro_sched_task_run_seconds", "Task run duration (inline call or pool round-trip)"
+    "repro_sched_task_run_seconds", "Task run duration, timed where the call runs"
 )
+
+
+def _timed_call(fn, *args) -> tuple[object, float]:
+    """Call ``fn(*args)``; return its value and the call's own duration.
+
+    Module-level so process pools can pickle it: a pooled task is timed
+    inside the worker, so its run time excludes executor queue wait and
+    transport.
+    """
+    t0 = time.perf_counter()
+    value = fn(*args)
+    return value, time.perf_counter() - t0
 
 
 @dataclass(frozen=True)
@@ -52,9 +64,10 @@ class TaskTiming:
     """Where one task's wall-clock went.
 
     ``queue_wait_s`` is ready → started (how long the task sat behind
-    other work once its dependencies finished); ``run_s`` is the inline
-    call duration, or the submit → completion round-trip for pool tasks
-    (transport included — that is the price the caller actually paid).
+    other work once its dependencies finished; for pool tasks, ready →
+    submitted); ``run_s`` is the call's own duration, timed in the
+    worker for pool tasks, so time spent queued in the executor is in
+    neither.
     """
 
     queue_wait_s: float
@@ -110,7 +123,6 @@ class GraphScheduler:
         ready_at: dict[str, float] = {name: time.perf_counter() for name in ready}
         queue_waits: dict[str, float] = {}
         in_flight: dict[Future, str] = {}
-        submitted_at: dict[str, float] = {}
 
         def complete(name: str, value: object, run_s: float, pooled: bool) -> None:
             values[name] = value
@@ -160,8 +172,10 @@ class GraphScheduler:
             for name in pooled:
                 ready.remove(name)
                 task = graph[name]
-                submitted_at[name] = mark_started(name)
-                in_flight[self.executor.submit(task.fn, *resolve_args(task, values))] = name
+                mark_started(name)
+                in_flight[
+                    self.executor.submit(_timed_call, task.fn, *resolve_args(task, values))
+                ] = name
             if ready:
                 name = ready.pop(0)
                 task = graph[name]
@@ -179,15 +193,10 @@ class GraphScheduler:
             for future in done:
                 name = in_flight.pop(future)
                 try:
-                    value = future.result()
+                    value, run_s = future.result()
                 except BaseException as error:  # noqa: BLE001 - rewrapped
                     fail(name, error)
-                complete(
-                    name,
-                    value,
-                    time.perf_counter() - submitted_at[name],
-                    pooled=True,
-                )
+                complete(name, value, run_s, pooled=True)
 
         return ExecutionReport(
             values=values,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -374,6 +375,17 @@ class TestExecutionReportTimings:
             assert timing.queue_wait_s >= 0.0
         assert report.timings["pooled-double"].pooled is True
         assert report.timings["produce"].pooled is False
+
+    def test_pooled_run_time_excludes_executor_queue_wait(self):
+        # One worker, two sleeping chunks: the second waits ~0.2 s in the
+        # executor's queue, which must not count as its run time.
+        graph = TaskGraph()
+        graph.add("first", time.sleep, 0.2, pool=True)
+        graph.add("second", time.sleep, 0.2, pool=True)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            report = GraphScheduler(pool).run(graph)
+        for name in ("first", "second"):
+            assert 0.15 < report.timings[name].run_s < 0.2 + 0.1
 
     def test_sweep_stats_carry_a_phase_breakdown(self, tmp_path):
         runner = SweepRunner(mode="serial", cache_dir=str(tmp_path))

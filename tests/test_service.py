@@ -263,6 +263,28 @@ class TestEndToEndRoundTrip:
         finally:
             connection.close()
 
+    def test_kept_alive_requests_do_not_stall(self, server):
+        # A response sent as two small writes (headers, then body) on a
+        # Nagle socket waits for the client's delayed ACK: ~40 ms for
+        # every request after the first on a kept-alive connection.
+        import http.client
+
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.request("GET", "/healthz")
+            connection.getresponse().read()
+            started = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 20 * 0.040 / 2
+
 
 class TestHotPathCaching:
     """The acceptance criterion: repeats hit the compiled-target LRU."""
