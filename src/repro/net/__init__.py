@@ -4,14 +4,14 @@ The fourth evaluation backend.  Where :mod:`repro.simulate` models the
 paper's single-switch testbed (endpoint contention only), this package
 makes the fabric explicit: capacitated link graphs
 (:mod:`repro.net.topology`), a progressive-filling max-min fair-share
-solver (:mod:`repro.net.flows`), batched collective schedules
-(:mod:`repro.net.collectives`), a topology-aware BSP engine
-(:mod:`repro.net.engine`) and the :class:`NetworkBackend` that plugs it
-all into scenarios, sweeps, the planner and the service.
+solver behind :class:`FlowNetwork` (:mod:`repro.net.flows`) and the
+:class:`NetworkBackend` that runs the shared
+:class:`~repro.simulate.bsp.BSPEngine` and
+:mod:`~repro.simulate.collectives` over it, plugging the fabric into
+scenarios, sweeps, the planner and the service.
 """
 
 from repro.net.backend import NetworkBackend, topology_items
-from repro.net.engine import FlowBSPEngine
 from repro.net.flows import (
     Flow,
     FlowAllocation,
@@ -46,7 +46,6 @@ __all__ = [
     "DEFAULT_WAN_LINK",
     "Flow",
     "FlowAllocation",
-    "FlowBSPEngine",
     "FlowNetwork",
     "FlowRequest",
     "Link",

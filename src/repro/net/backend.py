@@ -1,9 +1,10 @@
 """The network evaluation backend: topology as a scenario axis.
 
 Implements :class:`~repro.core.backend.EvaluationBackend` by replaying
-each compiled workload's BSP transfer schedule through the flow-level
-:class:`~repro.net.engine.FlowBSPEngine` over an explicit cluster
-topology.  Everything else matches :class:`~repro.simulate.backend.
+each compiled workload's BSP transfer schedule through the shared
+:class:`~repro.simulate.bsp.BSPEngine` over a flow-level
+:class:`~repro.net.flows.FlowNetwork` on an explicit cluster topology.
+Everything else matches :class:`~repro.simulate.backend.
 SimulatedBackend` — per-point seeds derive from the target's content
 identity and the worker count (never from process placement), so
 network sweeps are bit-identical serial or pooled — which is what makes
@@ -20,10 +21,10 @@ import numpy as np
 
 from repro.core.backend import EvaluationBackend, EvaluationTarget
 from repro.core.errors import SimulationError
-from repro.net.engine import FlowBSPEngine
-from repro.net.flows import TcpThroughputModel
+from repro.net.flows import FlowNetwork, TcpThroughputModel
 from repro.net.topology import TOPOLOGY_KINDS, build_topology
 from repro.obs.metrics import get_registry
+from repro.simulate.bsp import BSPEngine
 from repro.simulate.overhead import NO_OVERHEAD, FrameworkOverhead
 from repro.simulate.rng import StragglerJitter, derive_seed
 
@@ -130,19 +131,20 @@ class NetworkBackend(EvaluationBackend):
         times = []
         for n in (int(value) for value in workers):
             topology = build_topology(self.topology_kind, n + 1, workload.link, options)
-            engine = FlowBSPEngine(
+            network = FlowNetwork(topology, tcp=tcp)
+            engine = BSPEngine(
                 node=workload.node,
-                topology=topology,
+                link=workload.link,
                 workers=n,
                 overhead=self.overhead,
                 jitter=jitter,
                 seed=derive_seed(self.seed, "network-backend", target.key, f"n={n}"),
-                tcp=tcp,
                 keep_trace=False,
+                network=network,
             )
             report = engine.run(workload.plan_for(n), self.iterations)
-            _FLOW_ROUNDS.inc(engine.network.batches_solved)
-            _FLOWS.inc(engine.network.flows_solved)
+            _FLOW_ROUNDS.inc(network.batches_solved)
+            _FLOWS.inc(network.flows_solved)
             seconds = report.mean_iteration_seconds * workload.model_iterations
             if workload.amortized:
                 seconds /= n

@@ -428,7 +428,7 @@ class TcpThroughputModel:
 
 
 class FlowRequest(NamedTuple):
-    """One host-to-host transfer the BSP engine asks the network for."""
+    """One host-to-host transfer request: the tuple shape :meth:`FlowNetwork.batch` takes."""
 
     source: int
     destination: int
@@ -443,12 +443,13 @@ class FlowNetwork:
     :meth:`batch` solves one dependency round of transfers with true
     max-min sharing among them, commits the resulting rate profiles as
     reservations, and returns :class:`TransferOutcome` objects in
-    request order — the same contract the endpoint network's
-    ``transfer`` gives, lifted to batches.
+    request order — the same contract as the port network's ``batch``,
+    so :class:`~repro.simulate.bsp.BSPEngine` runs over either.
     """
 
     def __init__(self, topology, tcp: TcpThroughputModel | None = None):
         self.topology = topology
+        self.node_count = topology.host_count
         self.tcp = tcp
         self.ledger = ReservationLedger()
         self._capacity = topology.capacities

@@ -29,10 +29,6 @@ from repro.simulate.bsp import BSPEngine
 from repro.simulate.overhead import NO_OVERHEAD, FrameworkOverhead
 from repro.simulate.rng import StragglerJitter, derive_seed
 
-_ENGINE_EVENTS = get_registry().counter(
-    "repro_backends_engine_events_total",
-    "Discrete events executed by simulated-backend BSP engines",
-)
 _ENGINE_RUNS = get_registry().counter(
     "repro_backends_engine_runs_total",
     "BSP engine runs launched by the simulated backend",
@@ -105,7 +101,6 @@ class SimulatedBackend(EvaluationBackend):
             )
             report = engine.run(workload.plan_for(n), self.iterations)
             _ENGINE_RUNS.inc()
-            _ENGINE_EVENTS.inc(engine.clock.processed)
             seconds = report.mean_iteration_seconds * workload.model_iterations
             if workload.amortized:
                 seconds /= n

@@ -15,6 +15,13 @@ Node numbering: node 0 is the driver (a dedicated machine, as in the
 paper's Spark setup); workers are nodes ``1..n``.  With
 ``aggregation="ring"`` there is no driver involvement and the barrier is
 the slowest worker's all-reduce completion.
+
+The engine talks to its network through two calls: ``batch(requests)``
+resolves one round of transfers (see :mod:`repro.simulate.collectives`)
+and ``advance(time)`` marks a barrier.  By default that network is the
+port-contention :class:`~repro.simulate.network.Network` of the paper's
+single-switch testbed; :class:`~repro.net.flows.FlowNetwork` plugs in an
+explicit topology with max-min sharing instead.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ import numpy as np
 from repro.core.errors import SimulationError
 from repro.hardware.specs import LinkSpec, NodeSpec
 from repro.simulate import collectives
-from repro.simulate.events import EventQueue
 from repro.simulate.network import Network
 from repro.simulate.overhead import NO_OVERHEAD, FrameworkOverhead
 from repro.simulate.rng import JitterModel, LogNormalJitter, stream
@@ -108,7 +114,11 @@ class BSPReport:
 
 
 class BSPEngine:
-    """Simulates BSP supersteps on a homogeneous cluster."""
+    """Simulates BSP supersteps on a homogeneous cluster.
+
+    ``network`` defaults to a port :class:`~repro.simulate.network.Network`
+    over ``link``.  The clock carries over between :meth:`run` calls.
+    """
 
     def __init__(
         self,
@@ -119,6 +129,7 @@ class BSPEngine:
         jitter: JitterModel = LogNormalJitter(0.0),
         seed: int = 0,
         keep_trace: bool = True,
+        network=None,
     ):
         if workers < 1:
             raise SimulationError(f"workers must be >= 1, got {workers}")
@@ -130,8 +141,15 @@ class BSPEngine:
         self.seed = seed
         self.trace = Trace() if keep_trace else None
         # Node 0 is the driver; 1..workers are the workers.
-        self.network = Network(link, workers + 1, trace=self.trace)
-        self.clock = EventQueue()
+        if network is None:
+            network = Network(link, workers + 1, trace=self.trace)
+        if network.node_count != workers + 1:
+            raise SimulationError(
+                f"network holds {network.node_count} hosts;"
+                f" workers={workers} needs {workers + 1} (driver + workers)"
+            )
+        self.network = network
+        self.now = 0.0
         self._jitter_rng = stream(seed, "bsp-jitter")
 
     @property
@@ -152,14 +170,16 @@ class BSPEngine:
         iteration_seconds: list[float] = []
         compute_spans: list[float] = []
         communication_spans: list[float] = []
-        barrier = self.clock.now
+        barrier = self.now
         for _iteration in range(iterations):
+            # Transfers of past supersteps are drained at the barrier.
+            self.network.advance(barrier)
             end, compute_span = self._superstep(plan, loads, barrier)
             iteration_seconds.append(end - barrier)
             compute_spans.append(compute_span)
             communication_spans.append(max(0.0, (end - barrier) - compute_span))
-            self.clock.advance_to(end)
             barrier = end
+        self.now = barrier
         return BSPReport(
             workers=self.workers,
             iteration_seconds=iteration_seconds,
@@ -226,9 +246,10 @@ class BSPEngine:
             root, root_time = collectives.tree_reduce(
                 self.network, ready, plan.aggregate_bits, tag="aggregate"
             )
-            end = self.network.transfer(
-                root, self.driver, plan.aggregate_bits, not_before=root_time, tag="aggregate"
-            ).end
+            [outcome] = self.network.batch(
+                [(root, self.driver, plan.aggregate_bits, root_time, "aggregate")]
+            )
+            end = outcome.end
         elif plan.aggregation == "two_wave":
             end = collectives.two_wave_aggregate(
                 self.network, ready, self.driver, plan.aggregate_bits, tag="aggregate"

@@ -1,4 +1,4 @@
-"""Collective communication operations over the simulated network.
+"""Collective communication operations over a simulated network.
 
 These implement, at the transfer level, the communication patterns whose
 closed-form time complexities live in :mod:`repro.core.communication`:
@@ -14,9 +14,13 @@ closed-form time complexities live in :mod:`repro.core.communication`:
 * :func:`all_to_all_shuffle` — the Hadoop/Spark repartitioning pattern.
 
 Each function takes node *ready times* (when the payload became available
-on each node), requests the individual transfers from the network in
-dependency order, and returns completion times.  Endpoint contention is
-handled by the network; these functions only encode the schedules.
+on each node), issues every dependency round as one ``network.batch`` of
+``(source, destination, bits, not_before, tag)`` tuples, and returns
+completion times.  The functions only encode the schedules; the network
+resolves contention within a batch.  The port
+:class:`~repro.simulate.network.Network` serves a batch FIFO in request
+order (transfers serialise per NIC port); the flow-level
+:class:`~repro.net.flows.FlowNetwork` shares it max-min fairly.
 """
 
 from __future__ import annotations
@@ -46,16 +50,18 @@ def linear_gather(
 ) -> float:
     """All sources send their payload to ``sink``; returns the finish time.
 
-    Transfers serialise on the sink's downlink; sources are served in
-    ready-time order (earliest data first), which is both fair and the
-    conservative discrete-event order.
+    One batch, sources in ready-time order (earliest data first).  The
+    sink's downlink is the bottleneck: the port network serialises the
+    transfers there, the flow network splits it as sources come and go.
     """
     sources = _validate_nodes(list(ready))
     finish = max(ready[sink], 0.0) if sink in ready else 0.0
-    for source in sorted(sources, key=lambda node: (ready[node], node)):
-        if source == sink:
-            continue
-        outcome = network.transfer(source, sink, bits, not_before=ready[source], tag=tag)
+    requests = [
+        (source, sink, bits, ready[source], tag)
+        for source in sorted(sources, key=lambda node: (ready[node], node))
+        if source != sink
+    ]
+    for outcome in network.batch(requests):
         finish = max(finish, outcome.end)
     return finish
 
@@ -68,20 +74,22 @@ def tree_reduce(
 ) -> tuple[int, float]:
     """Binary combining tree; returns ``(root, finish_time)``.
 
-    Pairs at distance 1, 2, 4, ... combine; the partial aggregate always
-    flows to the lower-indexed member, so the first node ends up with the
-    result after ``ceil(log2 n)`` rounds.
+    Pairs at distance 1, 2, 4, ... combine, one batch per distance; the
+    partial aggregate always flows to the lower-indexed member, so the
+    first node ends up with the result after ``ceil(log2 n)`` rounds.
     """
     nodes = sorted(_validate_nodes(list(ready)))
     current_ready = {node: ready[node] for node in nodes}
     distance = 1
     while distance < len(nodes):
-        for index in range(0, len(nodes) - distance, 2 * distance):
-            receiver = nodes[index]
-            sender = nodes[index + distance]
-            outcome = network.transfer(
-                sender, receiver, bits, not_before=current_ready[sender], tag=tag
-            )
+        pairs = [
+            (nodes[index + distance], nodes[index])
+            for index in range(0, len(nodes) - distance, 2 * distance)
+        ]
+        outcomes = network.batch(
+            [(sender, receiver, bits, current_ready[sender], tag) for sender, receiver in pairs]
+        )
+        for (_sender, receiver), outcome in zip(pairs, outcomes):
             current_ready[receiver] = max(current_ready[receiver], outcome.end)
         distance *= 2
     root = nodes[0]
@@ -101,7 +109,7 @@ def binomial_broadcast(
     Returns the time each target (and the root) holds the full payload.
     This is the store-and-forward binomial tree — the schedule Spark's
     TorrentBroadcast approximates — and completes in ``ceil(log2 n)``
-    rounds for ``n`` total participants.
+    rounds for ``n`` total participants, one batch per round.
     """
     if root_ready < 0:
         raise SimulationError(f"root_ready must be non-negative, got {root_ready}")
@@ -114,13 +122,15 @@ def binomial_broadcast(
         # One round: every current holder serves one waiting node.  Holders
         # with earlier payload availability are matched first.
         holders = sorted(holds_at, key=lambda node: (holds_at[node], node))
+        pairs = []
         for holder in holders:
             if not waiting:
                 break
-            receiver = waiting.pop(0)
-            outcome = network.transfer(
-                holder, receiver, bits, not_before=holds_at[holder], tag=tag
-            )
+            pairs.append((holder, waiting.pop(0)))
+        outcomes = network.batch(
+            [(holder, receiver, bits, holds_at[holder], tag) for holder, receiver in pairs]
+        )
+        for (_holder, receiver), outcome in zip(pairs, outcomes):
             holds_at[receiver] = outcome.end
     return holds_at
 
@@ -134,11 +144,12 @@ def two_wave_aggregate(
 ) -> float:
     """Spark ``treeAggregate`` with two waves; returns the driver finish time.
 
-    Workers are split into ``ceil(sqrt(n))`` groups.  Wave 1: members of
-    each group send to the group leader (groups proceed in parallel, each
-    leader's downlink serialises its own group).  Wave 2: leaders send the
-    partial aggregates to the driver, serialising on the driver's
-    downlink.  Matches the paper's ``2 * (64W/B) * ceil(sqrt(n))`` shape.
+    Workers are split into ``ceil(sqrt(n))`` groups.  Wave 1 (one batch):
+    members of each group send to the group leader (groups proceed in
+    parallel, each leader's downlink is its own group's bottleneck).
+    Wave 2 (a second batch): leaders send the partial aggregates to the
+    driver, whose downlink is the bottleneck.  Matches the paper's
+    ``2 * (64W/B) * ceil(sqrt(n))`` shape.
     """
     workers = sorted(_validate_nodes(list(ready)))
     if driver in workers:
@@ -147,20 +158,24 @@ def two_wave_aggregate(
     groups = [workers[start::group_count] for start in range(group_count)]
     groups = [group for group in groups if group]
 
-    leader_ready: dict[int, float] = {}
+    wave_one: list[tuple[int, int]] = []  # (member, leader) in batch order
     for group in groups:
         leader = group[0]
-        finish = ready[leader]
         for member in sorted(group[1:], key=lambda node: (ready[node], node)):
-            outcome = network.transfer(member, leader, bits, not_before=ready[member], tag=tag)
-            finish = max(finish, outcome.end)
-        leader_ready[leader] = finish
+            wave_one.append((member, leader))
+    outcomes = network.batch(
+        [(member, leader, bits, ready[member], tag) for member, leader in wave_one]
+    )
+    leader_ready = {group[0]: ready[group[0]] for group in groups}
+    for (_member, leader), outcome in zip(wave_one, outcomes):
+        leader_ready[leader] = max(leader_ready[leader], outcome.end)
 
     driver_finish = 0.0
-    for leader in sorted(leader_ready, key=lambda node: (leader_ready[node], node)):
-        outcome = network.transfer(
-            leader, driver, bits, not_before=leader_ready[leader], tag=tag
-        )
+    leaders = sorted(leader_ready, key=lambda node: (leader_ready[node], node))
+    outcomes = network.batch(
+        [(leader, driver, bits, leader_ready[leader], tag) for leader in leaders]
+    )
+    for outcome in outcomes:
         driver_finish = max(driver_finish, outcome.end)
     return driver_finish
 
@@ -173,10 +188,11 @@ def ring_allreduce(
 ) -> dict[int, float]:
     """Ring all-reduce: reduce-scatter then all-gather, chunked payloads.
 
-    Each of the ``2 * (n - 1)`` rounds moves one ``bits / n`` chunk from
-    every node to its ring successor; a node forwards a chunk only after
-    it has received (and combined) it in the previous round.  Returns the
-    time each node holds the fully reduced payload.
+    Each of the ``2 * (n - 1)`` rounds (one batch each) moves one
+    ``bits / n`` chunk from every node to its ring successor; a node
+    forwards a chunk only after it has received (and combined) it in the
+    previous round.  Returns the time each node holds the fully reduced
+    payload.
     """
     nodes = sorted(_validate_nodes(list(ready)))
     count = len(nodes)
@@ -185,13 +201,15 @@ def ring_allreduce(
         return current_ready
     chunk = bits / count
     for _round in range(2 * (count - 1)):
-        ends: dict[int, float] = {}
-        for index, node in enumerate(nodes):
-            successor = nodes[(index + 1) % count]
-            outcome = network.transfer(
-                node, successor, chunk, not_before=current_ready[node], tag=tag
-            )
-            ends[successor] = outcome.end
+        outcomes = network.batch(
+            [
+                (node, nodes[(index + 1) % count], chunk, current_ready[node], tag)
+                for index, node in enumerate(nodes)
+            ]
+        )
+        ends = {
+            nodes[(index + 1) % count]: outcome.end for index, outcome in enumerate(outcomes)
+        }
         for node, end in ends.items():
             current_ready[node] = max(current_ready[node], end)
     return current_ready
@@ -206,8 +224,9 @@ def all_to_all_shuffle(
     """Shuffle ``total_bits`` evenly across all nodes; returns finish times.
 
     Every ordered pair exchanges ``total_bits / n^2``.  Rounds are perfect
-    matchings (node ``i`` sends to ``i + offset``), so disjoint pairs
-    proceed in parallel and each port is used once per round.
+    matchings (node ``i`` sends to ``i + offset``), one batch each, so
+    disjoint pairs proceed in parallel and each port is used once per
+    round.
     """
     if total_bits < 0:
         raise SimulationError(f"total_bits must be non-negative, got {total_bits}")
@@ -219,10 +238,13 @@ def all_to_all_shuffle(
     pair_bits = total_bits / (count * count)
     finish = dict(current_ready)
     for offset in range(1, count):
-        for index, node in enumerate(nodes):
+        outcomes = network.batch(
+            [
+                (node, nodes[(index + offset) % count], pair_bits, current_ready[node], tag)
+                for index, node in enumerate(nodes)
+            ]
+        )
+        for index, outcome in enumerate(outcomes):
             receiver = nodes[(index + offset) % count]
-            outcome = network.transfer(
-                node, receiver, pair_bits, not_before=current_ready[node], tag=tag
-            )
             finish[receiver] = max(finish[receiver], outcome.end)
     return finish

@@ -9,11 +9,13 @@ single-switch rack like the paper's testbed.
 
 Transfers must be requested in non-decreasing order of their earliest
 start time per endpoint (conservative discrete-event order); the BSP
-engine guarantees this by construction and the network asserts it.
+engine guarantees this by construction.  :meth:`Network.batch` serves
+one round of transfers first-come first-served in request order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.errors import SimulationError
@@ -60,38 +62,55 @@ class Network:
         self._check_node(node)
         return self._downlink_free_at[node]
 
+    def batch(self, requests: Sequence[tuple]) -> list[TransferOutcome]:
+        """Serve one round of transfers FIFO in request order.
+
+        Each request is a ``(source, destination, bits, not_before, tag)``
+        tuple.  A transfer starts when its payload is ready
+        (``not_before``) and both endpoints are free, and completes
+        ``latency + bits/B`` later; each request occupies its ports
+        before the next one is served.  A loop-back transfer
+        (``source == destination``) is free: the data never leaves the
+        node.  Returns the outcomes in request order.
+        """
+        count = self.node_count
+        uplink = self._uplink_free_at
+        downlink = self._downlink_free_at
+        latency = self.link.latency_s
+        bandwidth = self.link.bandwidth_bps
+        half_duplex = not self.link.full_duplex
+        trace = self.trace
+        outcomes = []
+        for source, destination, bits, not_before, tag in requests:
+            if not (0 <= source < count and 0 <= destination < count):
+                self._check_node(source)
+                self._check_node(destination)
+            if bits < 0:
+                raise SimulationError(f"bits must be non-negative, got {bits}")
+            if not_before < 0:
+                raise SimulationError(f"not_before must be non-negative, got {not_before}")
+            if source == destination:
+                outcomes.append(TransferOutcome(not_before, not_before))
+                continue
+            start = max(not_before, uplink[source], downlink[destination])
+            end = start + (latency + bits / bandwidth)
+            if half_duplex:
+                # Half duplex: sending also blocks the sender's receive side
+                # and vice versa, so both directions of both endpoints busy out.
+                downlink[source] = end
+                uplink[destination] = end
+            uplink[source] = end
+            downlink[destination] = end
+            if trace is not None:
+                trace.record_transfer(TransferRecord(source, destination, bits, start, end, tag))
+            outcomes.append(TransferOutcome(start, end))
+        return outcomes
+
     def transfer(
         self, source: int, destination: int, bits: float, not_before: float = 0.0, tag: str = ""
     ) -> TransferOutcome:
-        """Occupy the links for one ``source -> destination`` transfer.
+        """Occupy the links for one ``source -> destination`` transfer."""
+        return self.batch([(source, destination, bits, not_before, tag)])[0]
 
-        The transfer starts when the payload is ready (``not_before``) and
-        both endpoints are free; it completes ``latency + bits/B`` later.
-        A loop-back transfer (``source == destination``) is free: the data
-        never leaves the node.
-        """
-        self._check_node(source)
-        self._check_node(destination)
-        if bits < 0:
-            raise SimulationError(f"bits must be non-negative, got {bits}")
-        if not_before < 0:
-            raise SimulationError(f"not_before must be non-negative, got {not_before}")
-        if source == destination:
-            return TransferOutcome(start=not_before, end=not_before)
-
-        start = max(not_before, self._uplink_free_at[source], self._downlink_free_at[destination])
-        end = start + self.link.transfer_seconds(bits)
-        if not self.link.full_duplex:
-            # Half duplex: sending also blocks the sender's receive side
-            # and vice versa, so both directions of both endpoints busy out.
-            self._downlink_free_at[source] = end
-            self._uplink_free_at[destination] = end
-        self._uplink_free_at[source] = end
-        self._downlink_free_at[destination] = end
-        if self.trace is not None:
-            self.trace.record_transfer(
-                TransferRecord(
-                    source=source, destination=destination, bits=bits, start=start, end=end, tag=tag
-                )
-            )
-        return TransferOutcome(start=start, end=end)
+    def advance(self, time: float) -> None:
+        """Port occupancy needs no pruning at a barrier: nothing to do."""

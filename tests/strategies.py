@@ -231,7 +231,8 @@ def backend_sections(
     kinds: tuple[str, ...] = ("analytic", "simulated"),
     simulation: st.SearchStrategy[dict] | None = None,
 ) -> st.SearchStrategy[dict]:
-    simulation = simulation or zero_noise_simulation()
+    if simulation is None:
+        simulation = zero_noise_simulation()
 
     def section_for(kind: str) -> st.SearchStrategy[dict]:
         if kind == "analytic":

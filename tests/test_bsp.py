@@ -1,11 +1,15 @@
 """Tests for the BSP superstep engine and the cluster façade."""
 
+import numpy as np
 import pytest
 
 from repro.core.errors import SimulationError
 from repro.hardware.specs import ClusterSpec, LinkSpec, NodeSpec
+from repro.net.flows import FlowNetwork
+from repro.net.topology import oversubscribed_racks, single_switch
 from repro.simulate.bsp import BSPEngine, SuperstepPlan
 from repro.simulate.cluster import SimulatedCluster
+from repro.simulate.network import Network
 from repro.simulate.overhead import NO_OVERHEAD, SPARK_LIKE_OVERHEAD, FrameworkOverhead
 from repro.simulate.rng import LogNormalJitter
 
@@ -151,6 +155,50 @@ class TestBSPEngine:
         report = BSPReport(workers=1, iteration_seconds=[], trace=Trace())
         with pytest.raises(SimulationError):
             _ = report.mean_iteration_seconds
+
+
+#: Builders, by worker count, of the networks the one engine runs over;
+#: ``None`` selects the default port network over ``LINK``.
+NETWORKS = {
+    "port": lambda workers: None,
+    "flow-single-switch": lambda workers: FlowNetwork(single_switch(workers + 1, LINK)),
+    "flow-racks": lambda workers: FlowNetwork(
+        oversubscribed_racks(workers + 1, LINK, racks=3, oversubscription_ratio=4.0)
+    ),
+}
+
+
+class TestEngineOverNetworks:
+    @pytest.mark.parametrize("network", sorted(NETWORKS))
+    @pytest.mark.parametrize("aggregation", ["two_wave", "tree", "ring"])
+    def test_consecutive_runs_match(self, network, aggregation):
+        """A second run continues the clock: past transfers never slow it."""
+        engine = make_engine(8, network=NETWORKS[network](8))
+        plan = SuperstepPlan(
+            operations_per_worker=1e7,
+            broadcast_bits=2e6,
+            aggregate_bits=5e6,
+            aggregation=aggregation,
+        )
+        first = engine.run(plan, 2)
+        second = engine.run(plan, 2)
+        np.testing.assert_allclose(
+            second.iteration_seconds, first.iteration_seconds, rtol=1e-9
+        )
+        assert engine.now == pytest.approx(first.total_seconds + second.total_seconds)
+
+    @pytest.mark.parametrize(
+        "network",
+        [
+            Network(LINK, 5),
+            FlowNetwork(single_switch(5, LINK)),
+            FlowNetwork(oversubscribed_racks(10, LINK, racks=2, oversubscription_ratio=2.0)),
+        ],
+        ids=["port", "flow-single-switch", "flow-racks"],
+    )
+    def test_network_host_count_must_match(self, network):
+        with pytest.raises(SimulationError, match=r"workers=8 needs 9 \(driver \+ workers\)"):
+            make_engine(8, network=network)
 
 
 class TestSimulatedCluster:

@@ -69,6 +69,13 @@ class TestTransfer:
         b = net.transfer(1, 0, 1e9)
         assert b.start == pytest.approx(a.end)
 
+    def test_batch_serves_requests_in_order(self):
+        requests = [(0, 1, 1e9, 0.0, "a"), (2, 1, 1e9, 0.5, "b"), (1, 1, 5.0, 0.25, "c")]
+        batched = make_network().batch(requests)
+        net = make_network()
+        assert batched == [net.transfer(*request) for request in requests]
+        assert [(o.start, o.end) for o in batched] == [(0.0, 1.0), (1.0, 2.0), (0.25, 0.25)]
+
     def test_reset_clears_occupancy(self):
         net = make_network()
         net.transfer(0, 1, 1e9)
